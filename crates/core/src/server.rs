@@ -573,10 +573,72 @@ impl<A: Aggregator> ParameterServer<A> {
         // below f32's subnormal range becomes an exact 0.0). Clamp again
         // after the cast so extreme staleness keeps a nonzero weight.
         let weight = (scaling as f32).max(f32::MIN_POSITIVE);
+        let (taus, weights) = shard_weights.unzip();
 
-        match shard_weights {
-            None => self.submit_lockstep(&update, scaling, weight),
-            Some((taus, weights)) => self.submit_per_shard(&update, scaling, weight, taus, weights),
+        // One apply body for both modes; they differ only in each shard's
+        // weight and trigger. Lockstep uses the scalar weight everywhere and
+        // every shard applies on the same K-th submission, so its float-op
+        // sequence is the single-shard loop's (the digest contract,
+        // `0xcca852d1696df74f` in the ci.sh sweep, pins it). Per-shard mode
+        // weighs each slice at its own τ_s and applies a shard when *its
+        // own* pending run reaches K. Applies are ordered on (shard,
+        // submission index) — a shard's pending segments drain in
+        // submission order and each shard belongs to exactly one fan-out
+        // thread — so either mode is bit-for-bit reproducible at any thread
+        // count. The global clock advances on every K-th submission either
+        // way; in per-shard mode it is only a deterministic round counter.
+        self.pending_count += 1;
+        let round_complete = self.pending_count >= self.aggregation_k;
+        let (apply_mode, aggregation_k) = (self.apply_mode, self.aggregation_k);
+        let triggers = |shard: &Shard| match apply_mode {
+            ApplyMode::Lockstep => round_complete,
+            ApplyMode::PerShard => shard.pending.len() + 1 >= aggregation_k,
+        };
+        let applied = self.shards.iter().any(triggers);
+        let learning_rate = self.learning_rate;
+        let gradient = update.gradient.as_slice();
+        let per_shard_weights = weights.as_deref();
+        let body = |i: usize, shard: &mut Shard, segment: &mut [f32]| {
+            let incoming = &gradient[shard.start..shard.start + shard.len];
+            let weight = per_shard_weights.map_or(weight, |w| w[i]);
+            if triggers(shard) {
+                // Drain the shard's pending run in submission order, then
+                // fold the incoming gradient in directly: per element the op
+                // sequence (scale, then scaled-subtract) is identical to
+                // buffering it first, without allocating a segment that would
+                // be freed immediately (on the default K = 1 hot path nothing
+                // is ever buffered).
+                for scaled in &shard.pending {
+                    for (p, g) in segment.iter_mut().zip(scaled) {
+                        *p -= learning_rate * g;
+                    }
+                }
+                shard.applied += shard.pending.len() as u64 + 1;
+                shard.pending.clear();
+                for (p, g) in segment.iter_mut().zip(incoming) {
+                    *p -= learning_rate * (g * weight);
+                }
+                shard.clock += 1;
+            } else {
+                shard
+                    .pending
+                    .push(incoming.iter().map(|g| g * weight).collect());
+            }
+        };
+        self.fan_out_shards(body);
+        if round_complete {
+            self.pending_count = 0;
+            self.clock += 1;
+        }
+        if let (Some(taus), Some(weights)) = (taus, weights) {
+            self.last_shard_staleness = taus;
+            self.last_shard_weights = weights;
+        }
+        SubmitOutcome {
+            scaling_factor: scaling,
+            applied_weight: weight,
+            applied,
+            clock: self.clock,
         }
     }
 
@@ -629,122 +691,6 @@ impl<A: Aggregator> ParameterServer<A> {
             weights.push(shard_weight);
         }
         (taus, weights)
-    }
-
-    /// The lockstep apply path: every shard applies on the same K-th
-    /// submission. This is the pre-`ApplyMode` hot path, float-op for
-    /// float-op — the digest contract (`0xcca852d1696df74f` in the ci.sh
-    /// sweep) pins it.
-    fn submit_lockstep(
-        &mut self,
-        update: &WorkerUpdate,
-        scaling: f64,
-        weight: f32,
-    ) -> SubmitOutcome {
-        self.pending_count += 1;
-        let apply_now = self.pending_count >= self.aggregation_k;
-        let learning_rate = self.learning_rate;
-        let gradient = update.gradient.as_slice();
-        let body = |_: usize, shard: &mut Shard, segment: &mut [f32]| {
-            let incoming = &gradient[shard.start..shard.start + shard.len];
-            if apply_now {
-                // Drain the shard's pending run in submission order, then
-                // fold the incoming gradient in directly: per element the op
-                // sequence (scale, then scaled-subtract) is identical to
-                // buffering it first, without allocating a segment that would
-                // be freed immediately (on the default K = 1 hot path nothing
-                // is ever buffered).
-                for scaled in &shard.pending {
-                    for (p, g) in segment.iter_mut().zip(scaled) {
-                        *p -= learning_rate * g;
-                    }
-                }
-                shard.applied += shard.pending.len() as u64 + 1;
-                shard.pending.clear();
-                for (p, g) in segment.iter_mut().zip(incoming) {
-                    *p -= learning_rate * (g * weight);
-                }
-                shard.clock += 1;
-            } else {
-                shard
-                    .pending
-                    .push(incoming.iter().map(|g| g * weight).collect());
-            }
-        };
-        self.fan_out_shards(body);
-        if apply_now {
-            self.pending_count = 0;
-            self.clock += 1;
-        }
-        SubmitOutcome {
-            scaling_factor: scaling,
-            applied_weight: weight,
-            applied: apply_now,
-            clock: self.clock,
-        }
-    }
-
-    /// The per-shard apply path: staleness (and therefore the Eq. 3 weight)
-    /// is evaluated per shard slice against the vector clock, and each shard
-    /// applies when *its own* pending run reaches K. Applies are ordered on
-    /// (shard, submission index) — a shard's pending segments drain in the
-    /// order they were submitted, and each shard belongs to exactly one
-    /// fan-out thread — so the result is bit-for-bit reproducible at any
-    /// thread count for a fixed schedule.
-    fn submit_per_shard(
-        &mut self,
-        update: &WorkerUpdate,
-        scaling: f64,
-        weight: f32,
-        taus: Vec<u64>,
-        weights: Vec<f32>,
-    ) -> SubmitOutcome {
-        self.pending_count += 1;
-        // The global clock stays a deterministic round counter: it advances
-        // on every K-th submission no matter which shards applied.
-        let round_complete = self.pending_count >= self.aggregation_k;
-        let applied_any = self
-            .shards
-            .iter()
-            .any(|s| s.pending.len() + 1 >= self.aggregation_k);
-        let aggregation_k = self.aggregation_k;
-        let learning_rate = self.learning_rate;
-        let gradient = update.gradient.as_slice();
-        let shard_weights = &weights;
-        let body = |i: usize, shard: &mut Shard, segment: &mut [f32]| {
-            let incoming = &gradient[shard.start..shard.start + shard.len];
-            let weight = shard_weights[i];
-            if shard.pending.len() + 1 >= aggregation_k {
-                for scaled in &shard.pending {
-                    for (p, g) in segment.iter_mut().zip(scaled) {
-                        *p -= learning_rate * g;
-                    }
-                }
-                shard.applied += shard.pending.len() as u64 + 1;
-                shard.pending.clear();
-                for (p, g) in segment.iter_mut().zip(incoming) {
-                    *p -= learning_rate * (g * weight);
-                }
-                shard.clock += 1;
-            } else {
-                shard
-                    .pending
-                    .push(incoming.iter().map(|g| g * weight).collect());
-            }
-        };
-        self.fan_out_shards(body);
-        if round_complete {
-            self.pending_count = 0;
-            self.clock += 1;
-        }
-        self.last_shard_staleness = taus;
-        self.last_shard_weights = weights;
-        SubmitOutcome {
-            scaling_factor: scaling,
-            applied_weight: weight,
-            applied: applied_any,
-            clock: self.clock,
-        }
     }
 
     /// Runs `body` once per (shard, parameter segment) pair — across threads

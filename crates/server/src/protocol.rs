@@ -80,6 +80,11 @@
 //! |                                    | reclaimed as above                 |
 //! | malformed/oversized frame, unknown | best-effort `Error` frame, then    |
 //! | kind, undecodable payload          | the connection is dropped          |
+//! | result whose gradient length       | `Error` frame "bad result          |
+//! | differs from the model's           | payload", connection dropped;      |
+//! |                                    | nothing is journalled and the      |
+//! |                                    | still-outstanding lease is         |
+//! |                                    | reclaimed on disconnect            |
 //! | frame stalled past the read budget | connection dropped (slow-loris     |
 //! |                                    | defence); *idle between frames is  |
 //! |                                    | not a fault — workers compute*     |

@@ -10,7 +10,8 @@ use crate::tasks::{TaskTable, TaskTableState};
 use crate::wire::{self, WireError};
 use bytes::Bytes;
 use fleet_core::{
-    AdaSgd, ApplyMode, ConfigError, CoreConfig, ParameterServer, ParameterServerState, WorkerUpdate,
+    AdaSgd, Aggregator, ApplyMode, ConfigError, CoreConfig, ParameterServer, ParameterServerState,
+    WorkerUpdate,
 };
 use fleet_device::NetworkKind;
 use fleet_profiler::{IProf, IProfState, Slo, WorkloadProfiler};
@@ -137,12 +138,6 @@ impl FleetServerConfigBuilder {
     /// Sets the per-shard backpressure bound (0 disables shedding).
     pub fn max_pending(mut self, value: usize) -> Self {
         self.config.core.max_pending = value;
-        self
-    }
-
-    /// Replaces the whole core cluster at once.
-    pub fn core(mut self, value: CoreConfig) -> Self {
-        self.config.core = value;
         self
     }
 
@@ -419,22 +414,36 @@ impl FleetServer {
     /// # Errors
     ///
     /// Returns the [`WireError`] when the buffer is truncated, has an unknown
-    /// version, or contains malformed fields.
+    /// version, or contains malformed fields — including a gradient whose
+    /// length differs from the model's ([`WireError::LengthOutOfBounds`]
+    /// with the offending length). A rejected buffer changes no state: the
+    /// lease stays outstanding, so the worker's honest retry still applies.
     pub fn handle_result_wire(&mut self, raw: Bytes) -> Result<ResultAck, WireError> {
-        Ok(self.handle_result(wire::decode_result(raw)?))
+        let result = wire::decode_result(raw)?;
+        let len = result.gradient.len();
+        if len != self.parameter_server.parameters().len() {
+            return Err(WireError::LengthOutOfBounds(len));
+        }
+        Ok(self.handle_result(result))
     }
 
     /// Handles a worker result (step 5): classifies it against the lease
     /// table, and — only when it is the first result for an outstanding
-    /// lease — feeds the measured costs back to I-Prof and folds the
-    /// gradient into the model with AdaSGD's weight. Duplicates, stragglers
+    /// lease — folds the gradient into the model with AdaSGD's weight and
+    /// feeds the measured costs back to I-Prof. Duplicates, stragglers
     /// whose lease expired, and unsolicited uploads are acknowledged (so the
     /// worker stops retrying) but never touch the model: the handler is
     /// idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an applied result's gradient length differs from the
+    /// model's — after the lease has moved to the completed set.
+    /// [`FleetServer::handle_result_wire`] rejects such a result before
+    /// anything mutates.
     pub fn handle_result(&mut self, result: TaskResult) -> ResultAck {
         let reclaimed = self.tasks.reclaim_expired(self.parameter_server.clock());
         if let Some(sink) = self.telemetry.get() {
-            sink.add(Counter::Results, 1);
             sink.add(Counter::TasksReclaimed, reclaimed.len() as u64);
         }
         let disposition = match result.task_id {
@@ -448,100 +457,31 @@ impl FleetServer {
             }
             None => ResultDisposition::Unsolicited,
         };
-        if disposition != ResultDisposition::Applied {
-            if let Some(sink) = self.telemetry.get() {
-                sink.add(
-                    match disposition {
-                        ResultDisposition::Duplicate => Counter::Duplicates,
-                        ResultDisposition::Expired => Counter::Expired,
-                        _ => Counter::Unsolicited,
-                    },
-                    1,
-                );
-            }
-            return ResultAck {
-                staleness: 0,
-                scaling_factor: 0.0,
-                model_updated: false,
-                clock: self.parameter_server.clock(),
-                disposition,
-            };
-        }
-        let device_model = self
-            .device_models
-            .get(&result.worker_id)
-            .cloned()
-            .expect("an applied result implies a recorded request");
-        // Feed the observation back into I-Prof. The features at request time
-        // are approximated by the ones the device would report now; in the
-        // real system the request features are cached server-side.
-        let staleness = self
-            .parameter_server
-            .clock()
-            .saturating_sub(result.model_version);
-        let mut update = WorkerUpdate::new(
-            result.gradient,
-            staleness,
-            result.label_distribution,
-            result.num_samples,
-            result.worker_id,
-        );
-        // A result carrying the read-time vector clock gets per-shard
-        // staleness attribution (per-shard mode; a lockstep server ignores
-        // it). Results from v1 peers fall back to the scalar staleness.
-        if self.config.core.apply_mode == ApplyMode::PerShard
-            && result
-                .read_clock
-                .as_ref()
-                .is_some_and(|rc| rc.len() == self.parameter_server.num_shards())
-        {
-            update.read_clock = result.read_clock;
-        }
-        let applied_before = if self.telemetry.is_enabled() {
-            self.parameter_server.shard_applied_counts()
-        } else {
-            Vec::new()
-        };
-        let outcome = self.parameter_server.submit(update);
-        if let Some(sink) = self.telemetry.get() {
-            sink.add(Counter::Applied, 1);
-            if outcome.applied {
-                sink.add(Counter::ModelUpdates, 1);
-            }
-            let applied_after = self.parameter_server.shard_applied_counts();
-            for (shard, (after, before)) in
-                applied_after.iter().zip(applied_before.iter()).enumerate()
-            {
-                if after > before {
-                    sink.shard_applies(shard, after - before);
-                }
-            }
-            for (shard, depth) in self
-                .parameter_server
-                .shard_pending_depths()
-                .iter()
-                .enumerate()
-            {
-                sink.queue_depth(shard, *depth as u64);
-            }
-        }
-        // Record the execution for the profiler (device features omitted from
-        // the result message; use the slope directly via a synthetic feature
-        // observation keyed by the device model).
-        self.iprof.observe(
-            &device_model,
-            &fleet_device::DeviceFeatures::default(),
-            result.num_samples,
-            result.computation_seconds,
-            result.energy_pct,
-        );
-        ResultAck {
-            staleness,
-            scaling_factor: outcome.scaling_factor,
-            model_updated: outcome.applied,
-            clock: outcome.clock,
+        let (worker_id, num_samples) = (result.worker_id, result.num_samples);
+        let (computation_seconds, energy_pct) = (result.computation_seconds, result.energy_pct);
+        let ack = apply_result(
+            &mut self.parameter_server,
             disposition,
+            result,
+            &self.telemetry,
+        );
+        if disposition == ResultDisposition::Applied {
+            let device_model = self
+                .device_models
+                .get(&worker_id)
+                .expect("an applied result implies a recorded request");
+            // Record the execution for the profiler (device features omitted
+            // from the result message; use the slope directly via a
+            // synthetic feature observation keyed by the device model).
+            self.iprof.observe(
+                device_model,
+                &fleet_device::DeviceFeatures::default(),
+                num_samples,
+                computation_seconds,
+                energy_pct,
+            );
         }
+        ack
     }
 
     /// The lease table (outstanding / completed / expired task counts).
@@ -621,6 +561,96 @@ impl FleetServer {
         self.controller.restore_counters(state.controller);
         self.tasks = TaskTable::from_state(state.tasks);
         self.device_models = state.device_models.into_iter().collect();
+    }
+}
+
+/// The one submission pipeline, shared by [`FleetServer::handle_result`]
+/// and the simulation: folds an already-classified worker result into the
+/// model and reports it to telemetry. Every disposition counts one
+/// `Results` event; only an `Applied` result reaches the parameter server,
+/// with the staleness the real protocol derives — the clock now minus the
+/// model version the gradient was computed on — and, in per-shard mode, the
+/// read-time vector clock for per-shard attribution. A read clock whose
+/// length does not match the shard count (or any read clock at a lockstep
+/// server) is dropped, and the update falls back to the scalar staleness.
+/// Every other disposition is acknowledged without touching the model.
+///
+/// # Panics
+///
+/// Panics if an `Applied` result's gradient length differs from the
+/// model's (see [`ParameterServer::submit`]).
+pub(crate) fn apply_result<A: Aggregator>(
+    parameter_server: &mut ParameterServer<A>,
+    disposition: ResultDisposition,
+    result: TaskResult,
+    telemetry: &TelemetryHandle,
+) -> ResultAck {
+    let rejected = match disposition {
+        ResultDisposition::Applied => None,
+        ResultDisposition::Duplicate => Some(Counter::Duplicates),
+        ResultDisposition::Expired => Some(Counter::Expired),
+        ResultDisposition::Unsolicited => Some(Counter::Unsolicited),
+    };
+    if let Some(sink) = telemetry.get() {
+        sink.add(Counter::Results, 1);
+        if let Some(counter) = rejected {
+            sink.add(counter, 1);
+        }
+    }
+    if rejected.is_some() {
+        return ResultAck {
+            staleness: 0,
+            scaling_factor: 0.0,
+            model_updated: false,
+            clock: parameter_server.clock(),
+            disposition,
+        };
+    }
+    let staleness = parameter_server
+        .clock()
+        .saturating_sub(result.model_version);
+    let mut update = WorkerUpdate::new(
+        result.gradient,
+        staleness,
+        result.label_distribution,
+        result.num_samples,
+        result.worker_id,
+    );
+    if parameter_server.apply_mode() == ApplyMode::PerShard
+        && result
+            .read_clock
+            .as_ref()
+            .is_some_and(|rc| rc.len() == parameter_server.num_shards())
+    {
+        update.read_clock = result.read_clock;
+    }
+    let applied_before = if telemetry.is_enabled() {
+        parameter_server.shard_applied_counts()
+    } else {
+        Vec::new()
+    };
+    let outcome = parameter_server.submit(update);
+    if let Some(sink) = telemetry.get() {
+        sink.add(Counter::Applied, 1);
+        if outcome.applied {
+            sink.add(Counter::ModelUpdates, 1);
+        }
+        let applied_after = parameter_server.shard_applied_counts();
+        for (shard, (after, before)) in applied_after.iter().zip(&applied_before).enumerate() {
+            if after > before {
+                sink.shard_applies(shard, after - before);
+            }
+        }
+        for (shard, depth) in parameter_server.shard_pending_depths().iter().enumerate() {
+            sink.queue_depth(shard, *depth as u64);
+        }
+    }
+    ResultAck {
+        staleness,
+        scaling_factor: outcome.scaling_factor,
+        model_updated: outcome.applied,
+        clock: outcome.clock,
+        disposition,
     }
 }
 
@@ -1168,6 +1198,121 @@ mod tests {
         }
         assert_eq!(server.parameters(), restored.parameters());
         assert_eq!(server.checkpoint(), restored.checkpoint());
+    }
+
+    #[test]
+    fn wrong_length_gradient_is_rejected_before_the_lease_moves() {
+        // Regression: a result whose gradient length differs from the
+        // model's used to move its lease to the completed set and only then
+        // panic in the parameter server, so the worker's honest retry came
+        // back `Duplicate` and was never applied. The wire entry point must
+        // reject it before anything mutates.
+        let (mut server, mut workers, _) = build_world(2);
+        let assignment = match server
+            .handle_request_wire(workers[0].request_wire())
+            .expect("self-encoded request")
+        {
+            TaskResponse::Assignment(a) => a,
+            TaskResponse::Rejected(r) => panic!("rejected: {r:?}"),
+        };
+        let honest = workers[0].execute(&assignment).unwrap();
+        let len = server.parameters().len();
+        for bad_len in [len - 1, len + 1] {
+            let mut bad = honest.clone();
+            bad.gradient = fleet_ml::Gradient::from_vec(vec![0.5; bad_len]);
+            assert_eq!(
+                server.handle_result_wire(wire::encode_result(&bad)),
+                Err(WireError::LengthOutOfBounds(bad_len))
+            );
+            assert_eq!(server.tasks().outstanding_len(), 1);
+            assert_eq!(server.tasks().completed_len(), 0);
+            assert_eq!(server.clock(), 0);
+        }
+        let ack = server
+            .handle_result_wire(wire::encode_result(&honest))
+            .expect("the honest retry decodes");
+        assert_eq!(ack.disposition, ResultDisposition::Applied);
+        assert!(ack.model_updated);
+        assert_eq!(server.clock(), 1);
+        assert_eq!(server.tasks().outstanding_len(), 0);
+    }
+
+    #[test]
+    fn telemetry_never_changes_the_server_trajectory_and_counts_match_acks() {
+        // A scripted exchange with every disposition — applied, duplicate,
+        // expired straggler, unsolicited — must produce the same acks and
+        // the same final parameter bits with and without a sink, and the
+        // sink's counters must match the acks one for one.
+        use fleet_telemetry::Recorder;
+        for mode in [ApplyMode::Lockstep, ApplyMode::PerShard] {
+            let drive = |telemetry: TelemetryHandle| {
+                let (base, mut workers, _) = build_world(4);
+                let config = base
+                    .config()
+                    .to_builder()
+                    .shards(4)
+                    .aggregation_k(4)
+                    .apply_mode(mode)
+                    .lease_min_rounds(1)
+                    .lease_rounds_per_second(0.0)
+                    .build()
+                    .unwrap();
+                let mut server = FleetServer::new(base.parameters().to_vec(), config);
+                server.set_telemetry(telemetry);
+                let mut acks = Vec::new();
+                let mut straggler = None;
+                for round in 0..6 {
+                    let mut results = Vec::new();
+                    for worker in workers.iter_mut() {
+                        if let TaskResponse::Assignment(a) =
+                            server.handle_request(&worker.request())
+                        {
+                            results.push(worker.execute(&a).unwrap());
+                        }
+                    }
+                    if round == 0 {
+                        straggler = Some(results.remove(0));
+                    }
+                    for result in results {
+                        acks.push(server.handle_result(result.clone()));
+                        if round % 2 == 1 {
+                            acks.push(server.handle_result(result));
+                        }
+                    }
+                    if round == 3 {
+                        acks.push(server.handle_result(straggler.take().unwrap()));
+                    }
+                }
+                acks.push(server.handle_result(forged_result(&server, 999)));
+                let bits: Vec<u32> = server.parameters().iter().map(|p| p.to_bits()).collect();
+                (acks, bits)
+            };
+            let recorder = Arc::new(Recorder::new());
+            let (plain_acks, plain_bits) = drive(TelemetryHandle::disabled());
+            let (acks, bits) = drive(TelemetryHandle::new(recorder.clone()));
+            assert_eq!(format!("{plain_acks:?}"), format!("{acks:?}"), "{mode:?}");
+            assert_eq!(plain_bits, bits, "{mode:?}");
+
+            let count = |d: ResultDisposition| acks.iter().filter(|a| a.disposition == d).count();
+            for (disposition, counter) in [
+                (ResultDisposition::Applied, Counter::Applied),
+                (ResultDisposition::Duplicate, Counter::Duplicates),
+                (ResultDisposition::Expired, Counter::Expired),
+                (ResultDisposition::Unsolicited, Counter::Unsolicited),
+            ] {
+                assert!(count(disposition) > 0, "{mode:?}: no {disposition:?} ack");
+                assert_eq!(
+                    recorder.counter(counter) as usize,
+                    count(disposition),
+                    "{mode:?}: {counter:?}"
+                );
+            }
+            assert_eq!(recorder.counter(Counter::Results) as usize, acks.len());
+            assert_eq!(
+                recorder.counter(Counter::ModelUpdates) as usize,
+                acks.iter().filter(|a| a.model_updated).count()
+            );
+        }
     }
 
     proptest::proptest! {

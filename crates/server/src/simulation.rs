@@ -33,12 +33,12 @@
 
 use crate::faults::{FaultPlan, FaultStats, ResultFate};
 use crate::protocol::{ResultDisposition, TaskResult};
+use crate::server::apply_result;
 use crate::tasks::{TaskTable, TaskTableState};
 use crate::wire;
 use bytes::Bytes;
 use fleet_core::{
     Aggregator, ApplyMode, ConfigError, CoreConfig, ParameterServer, ParameterServerState,
-    WorkerUpdate,
 };
 use fleet_data::partition::UserPartition;
 use fleet_data::sampling::MiniBatchSampler;
@@ -231,12 +231,6 @@ impl SimulationConfigBuilder {
     /// Sets the shard apply-scheduling mode.
     pub fn apply_mode(mut self, value: ApplyMode) -> Self {
         self.config.core.apply_mode = value;
-        self
-    }
-
-    /// Replaces the whole core cluster at once.
-    pub fn core(mut self, value: CoreConfig) -> Self {
-        self.config.core = value;
         self
     }
 
@@ -458,14 +452,7 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
     fn new(sim: &'s AsyncSimulation<'a>, model: &Sequential, aggregator: A) -> Self {
         let cfg = &sim.config;
         let algorithm = aggregator.name();
-        let server = ParameterServer::new(
-            model.parameters(),
-            aggregator,
-            cfg.core.learning_rate,
-            cfg.core.aggregation_k,
-        )
-        .with_shards(cfg.core.shards.max(1))
-        .with_apply_mode(cfg.core.apply_mode);
+        let server = ParameterServer::from_config(model.parameters(), aggregator, &cfg.core);
         let per_shard = cfg.core.apply_mode == ApplyMode::PerShard;
 
         // Bounded history of past parameter snapshots; index 0 is the oldest.
@@ -512,14 +499,11 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
     ) -> Self {
         let cfg = &sim.config;
         let algorithm = aggregator.name();
-        let mut server = ParameterServer::new(
+        let mut server = ParameterServer::from_config(
             checkpoint.server.parameters.clone(),
             aggregator,
-            cfg.core.learning_rate,
-            cfg.core.aggregation_k,
-        )
-        .with_shards(cfg.core.shards.max(1))
-        .with_apply_mode(cfg.core.apply_mode);
+            &cfg.core,
+        );
         server.restore_state(checkpoint.server.clone());
 
         let (eval_inputs, eval_labels) = sim.eval_batch();
@@ -584,82 +568,36 @@ impl<'s, 'a, A: Aggregator> Engine<'s, 'a, A> {
     }
 
     /// Delivers one encoded result to the server: decode, classify against
-    /// the lease table, and submit only `Applied` results. Duplicates and
-    /// expired leases bump their counters and never touch the model.
+    /// the lease table, and hand it to the shared submission pipeline
+    /// ([`apply_result`]), which submits only `Applied` results. Duplicates
+    /// and expired leases bump their counters and never touch the model.
+    /// For immediate deliveries within a round the clock is constant (the
+    /// model only updates on the round's last submission), so the staleness
+    /// the pipeline derives equals the planned staleness exactly; delayed
+    /// deliveries naturally pick up the rounds they spent in flight.
     fn deliver(&mut self, bytes: Bytes, was_delayed: bool) {
         let decoded =
             wire::decode_result(bytes).expect("self-encoded worker results always decode");
         let task_id = decoded
             .task_id
             .expect("simulation results always carry a task id");
-        match self.tasks_table.classify(task_id, decoded.worker_id) {
+        let disposition = self.tasks_table.classify(task_id, decoded.worker_id);
+        let ack = apply_result(&mut self.server, disposition, decoded, &self.sim.telemetry);
+        let faults = &mut self.result.faults;
+        match ack.disposition {
             ResultDisposition::Applied => {
-                // Staleness as the server derives it in the real protocol:
-                // clock now minus the model version the gradient was computed
-                // on. For immediate deliveries within a round the clock is
-                // constant (the model only updates on the round's last
-                // submission), so this equals the planned staleness exactly;
-                // delayed deliveries naturally pick up the rounds they spent
-                // in flight.
-                let staleness = self.server.clock() - decoded.model_version;
-                let mut update = WorkerUpdate::new(
-                    decoded.gradient,
-                    staleness,
-                    decoded.label_distribution,
-                    decoded.num_samples,
-                    decoded.worker_id,
-                );
-                update.read_clock = decoded.read_clock;
-                let applied_before = if self.sim.telemetry.is_enabled() {
-                    self.server.shard_applied_counts()
-                } else {
-                    Vec::new()
-                };
-                let outcome = self.server.submit(update);
-                if let Some(sink) = self.sim.telemetry.get() {
-                    sink.add(Counter::Results, 1);
-                    sink.add(Counter::Applied, 1);
-                    if outcome.applied {
-                        sink.add(Counter::ModelUpdates, 1);
-                    }
-                    let applied_after = self.server.shard_applied_counts();
-                    for (shard, (after, before)) in
-                        applied_after.iter().zip(applied_before.iter()).enumerate()
-                    {
-                        if after > before {
-                            sink.shard_applies(shard, after - before);
-                        }
-                    }
-                    for (shard, depth) in self.server.shard_pending_depths().iter().enumerate() {
-                        sink.queue_depth(shard, *depth as u64);
-                    }
-                }
-                self.result.scaling_factors.push(outcome.scaling_factor);
-                self.result.faults.applied += 1;
+                self.result.scaling_factors.push(ack.scaling_factor);
+                faults.applied += 1;
                 if was_delayed {
-                    self.result.faults.delayed_delivered += 1;
+                    faults.delayed_delivered += 1;
                 }
             }
-            disposition => {
-                if let Some(sink) = self.sim.telemetry.get() {
-                    sink.add(Counter::Results, 1);
-                    sink.add(
-                        match disposition {
-                            ResultDisposition::Duplicate => Counter::Duplicates,
-                            ResultDisposition::Expired => Counter::Expired,
-                            _ => Counter::Unsolicited,
-                        },
-                        1,
-                    );
-                }
-                match disposition {
-                    ResultDisposition::Duplicate => self.result.faults.duplicates_rejected += 1,
-                    ResultDisposition::Expired => self.result.faults.expired_rejected += 1,
-                    // The simulation only replays results it leased itself,
-                    // so this arm is unreachable in practice; counting keeps
-                    // it honest.
-                    _ => self.result.faults.expired_rejected += 1,
-                }
+            ResultDisposition::Duplicate => faults.duplicates_rejected += 1,
+            // The simulation only replays results it leased itself, so
+            // `Unsolicited` is unreachable in practice; counting keeps it
+            // honest.
+            ResultDisposition::Expired | ResultDisposition::Unsolicited => {
+                faults.expired_rejected += 1
             }
         }
     }
@@ -901,10 +839,12 @@ impl<'a> AsyncSimulation<'a> {
         train: &'a Dataset,
         test: &'a Dataset,
         users: &'a UserPartition,
-        config: SimulationConfig,
+        mut config: SimulationConfig,
     ) -> Self {
         assert!(!users.is_empty(), "user partition must not be empty");
         assert!(config.steps > 0, "steps must be positive");
+        // A hand-built config may carry a zero shard count; run it on one.
+        config.core.shards = config.core.shards.max(1);
         Self {
             train,
             test,
@@ -1432,6 +1372,60 @@ mod tests {
                 stats.applied + stats.duplicates_rejected,
                 30 * 4 + stats.duplicates_rejected
             );
+        }
+    }
+
+    #[test]
+    fn telemetry_never_changes_the_trajectory_and_counts_match_fault_stats() {
+        // Installing a sink must not perturb a single bit — history, scaling
+        // factors, fault counters or final parameters — and the counters
+        // emitted by the shared submission pipeline must agree with the
+        // simulation's own accounting. Chaos faults produce duplicate and
+        // delayed deliveries next to applied ones; the two modes cover the
+        // global and the per-shard apply trigger (plus scripted flushes).
+        use fleet_telemetry::Recorder;
+        use std::sync::Arc;
+        let (train, test, users) = world();
+        for (mode, flush_every) in [(ApplyMode::Lockstep, 0), (ApplyMode::PerShard, 2)] {
+            let mut cfg = fast_config(StalenessDistribution::d1());
+            cfg.core.aggregation_k = 4;
+            cfg.core.shards = 4;
+            cfg.core.apply_mode = mode;
+            cfg.flush_every = flush_every;
+            cfg.steps = 40;
+            cfg.faults = FaultPlan::chaos(1);
+            let run = |recorder: Option<Arc<Recorder>>| {
+                let mut sim = AsyncSimulation::new(&train, &test, &users, cfg.clone());
+                if let Some(recorder) = recorder {
+                    sim.set_telemetry(TelemetryHandle::new(recorder));
+                }
+                let mut model = mlp_classifier(8, &[16], 5, 3);
+                let history = sim.run(&mut model, AdaSgd::new(5, 99.7));
+                let bits: Vec<u32> = model.parameters().iter().map(|p| p.to_bits()).collect();
+                (history, bits)
+            };
+            let recorder = Arc::new(Recorder::new());
+            let (plain, plain_bits) = run(None);
+            let (observed, observed_bits) = run(Some(Arc::clone(&recorder)));
+            assert_eq!(format!("{plain:?}"), format!("{observed:?}"), "{mode:?}");
+            assert_eq!(plain_bits, observed_bits, "{mode:?}");
+
+            let faults = observed.faults;
+            assert!(
+                faults.applied > 0 && faults.duplicates_rejected > 0,
+                "{faults:?}"
+            );
+            assert_eq!(recorder.counter(Counter::Applied), faults.applied);
+            assert_eq!(
+                recorder.counter(Counter::Duplicates),
+                faults.duplicates_rejected
+            );
+            assert_eq!(recorder.counter(Counter::Expired), faults.expired_rejected);
+            assert_eq!(
+                recorder.counter(Counter::Results),
+                faults.applied + faults.duplicates_rejected + faults.expired_rejected
+            );
+            assert_eq!(recorder.counter(Counter::SimRounds), 40);
         }
     }
 }

@@ -28,9 +28,10 @@
 #                           BENCH_conv.json, BENCH_transport.json and
 #                           BENCH_durability.json
 #   scripts/ci.sh --quick   skip the digest sweep and the bench smoke (the
-#                           scalar-forced parity suites and fleet-lint still
-#                           run: on hosts whose dispatcher auto-selects AVX2,
-#                           tier-1 alone never exercises the fallback path)
+#                           scalar-forced parity suites, fleet-lint and the
+#                           perfbench self-tests still run: on hosts whose
+#                           dispatcher auto-selects AVX2, tier-1 alone never
+#                           exercises the fallback path)
 #
 # Env knobs:
 #   FLEET_BENCH_COMPARE=1       diff each fresh BENCH_*.json against the
@@ -90,6 +91,13 @@ cargo test -q
 echo "==> kernel + conv parity tests with SIMD dispatch forced off"
 FLEET_SIMD=off cargo test --release -q -p fleet-ml kernels
 FLEET_SIMD=off cargo test --release -q -p fleet-ml conv
+
+# The benchmark's self-tests (perfbench/ is a Cargo workspace of its own, so
+# tier-1 never builds it). Runs in quick mode too: it fails when a public-API
+# change breaks the benchmark, and --locked fails when a dependency change
+# would rewrite perfbench/Cargo.lock.
+echo "==> perfbench self-tests"
+cargo test --offline --locked --release --manifest-path perfbench/Cargo.toml
 
 # Reads one pinned digest (by name) from scripts/expected_digests.txt.
 expected_digest() {
